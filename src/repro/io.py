@@ -44,22 +44,33 @@ TRAJECTORY_FORMAT = "game-of-coins/trajectory"
 _VERSION = 1
 
 
-def write_json_atomic(
+def encode_json(
     payload: Any,
-    path: str,
     *,
     indent: Optional[int] = 2,
     sort_keys: bool = True,
     default: Optional[Callable[[Any], Any]] = None,
-) -> str:
-    """Write *payload* as JSON to *path* crash-safely and return *path*.
+) -> bytes:
+    """The exact bytes :func:`write_json_atomic` writes for *payload*.
 
-    The document is serialized to a temporary file in the same
-    directory and renamed over *path* with :func:`os.replace`, so
-    readers only ever observe the old complete file or the new
-    complete file — never a truncated one. The rename is atomic on
-    POSIX and same-volume by construction; the temp file is fsynced
-    before the rename so a crash cannot publish an empty file.
+    One :func:`json.dumps` call plus a trailing newline. ``json.dump``
+    on a file handle always takes the pure-Python encoder and writes in
+    many small chunks; ``dumps`` takes the C encoder where it can
+    (``indent=None``) and yields the same bytes.
+    """
+    text = json.dumps(payload, indent=indent, sort_keys=sort_keys, default=default)
+    return (text + "\n").encode("utf-8")
+
+
+def write_bytes_atomic(data: bytes, path: str) -> str:
+    """Write *data* to *path* crash-safely and return *path*.
+
+    The bytes go to a temporary file in the same directory, which is
+    fsynced and renamed over *path* with :func:`os.replace`, so readers
+    only ever observe the old complete file or the new complete file —
+    never a truncated one. The rename is atomic on POSIX and
+    same-volume by construction; the fsync comes before the rename so a
+    crash cannot publish an empty file.
     """
     target = os.path.abspath(path)
     fd, tmp_path = tempfile.mkstemp(
@@ -68,9 +79,8 @@ def write_json_atomic(
         suffix=".tmp",
     )
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=indent, sort_keys=sort_keys, default=default)
-            handle.write("\n")
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, target)
@@ -81,6 +91,24 @@ def write_json_atomic(
             pass
         raise
     return path
+
+
+def write_json_atomic(
+    payload: Any,
+    path: str,
+    *,
+    indent: Optional[int] = 2,
+    sort_keys: bool = True,
+    default: Optional[Callable[[Any], Any]] = None,
+) -> str:
+    """Write *payload* as JSON to *path* crash-safely and return *path*.
+
+    The document is serialized in full first (:func:`encode_json`), so
+    a payload that cannot be encoded leaves *path* untouched, then
+    published with :func:`write_bytes_atomic`.
+    """
+    data = encode_json(payload, indent=indent, sort_keys=sort_keys, default=default)
+    return write_bytes_atomic(data, path)
 
 
 def _fraction_to_str(value: Fraction) -> str:

@@ -403,7 +403,7 @@ def build_vector_jobs(
         if mask is None:
             # Same single draw as random_configuration, minus the
             # Configuration round-trip (kernel coin order is game order).
-            assign = [int(j) for j in start_gen.integers(0, n_coins, n_miners)]
+            assign = start_gen.integers(0, n_coins, n_miners).tolist()
         else:
             start = random_restricted_configuration(game, mask, seed=start_gen)
             assign = kernel.assignment_of(start)

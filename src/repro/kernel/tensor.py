@@ -7,10 +7,12 @@ stepper advances them one Python step at a time; this module packs a
 arrays — per-game common-denominator-scaled powers and rewards (the
 :class:`~repro.kernel.core.KernelGame` normalization, reused as-is),
 an assignment matrix and per-coin mass vectors — and advances every
-live trajectory in lockstep: one batched better-response scan, one
-batched scheduler pick, one batched policy choice and one batched
-apply per step. Converged (or budget-exhausted) games retire from the
-arrays; the loop ends when the population is empty.
+live trajectory of one game shape in lockstep, whatever its strategy:
+one batched better-response scan, one batched pick per scheduler
+family, one batched choice per policy family (policy, scheduler and
+epsilon are per-row codes) and one batched apply per step. Converged
+(or budget-exhausted) games retire from the arrays; the loop ends when
+the population is empty.
 
 Exactness — three lanes, mirroring ``stochastic/lottery.py``'s
 int64-with-exact-fallback pattern:
@@ -221,12 +223,13 @@ def run_trajectory_population(jobs: Sequence[TrajectoryJob]) -> List[TrajectoryO
     """Advance every job to convergence (or budget), batched per shape.
 
     Jobs are grouped into buckets of identical ``(miners, coins,
-    policy, scheduler, epsilon, lane)``; each bucket runs as one
-    lockstep array program. Mixed-shape populations are therefore fine —
-    they simply occupy several buckets. Jobs whose kernel integers
-    exceed the ``"float"`` lane run through the scalar stepper
-    (arbitrary precision), transparently. Outcomes come back in job
-    order.
+    lane)``; each bucket runs as one lockstep array program whatever
+    its jobs' policies, schedulers and epsilons (those are per-row
+    codes inside the bucket, see :func:`_run_bucket`). Mixed-shape
+    populations are fine — they simply occupy several buckets. Jobs
+    whose kernel integers exceed the ``"float"`` lane run through the
+    scalar stepper (arbitrary precision), transparently. Outcomes come
+    back in job order.
     """
     jobs = list(jobs)
     outcomes: List[Optional[TrajectoryOutcome]] = [None] * len(jobs)
@@ -249,28 +252,23 @@ def run_trajectory_population(jobs: Sequence[TrajectoryJob]) -> List[TrajectoryO
         if lane == "exact":
             outcomes[pos] = _run_scalar_job(job)
             continue
-        key = (
-            job.kernel.n_miners,
-            job.kernel.n_coins,
-            job.policy,
-            job.scheduler,
-            job.epsilon,
-            lane,
-        )
+        key = (job.kernel.n_miners, job.kernel.n_coins, lane)
         buckets.setdefault(key, []).append(pos)
-    for key, positions in buckets.items():
+    for (miners, coins, lane), positions in buckets.items():
         if observing:
+            present_policies = {jobs[p].policy for p in positions}
+            present_schedulers = {jobs[p].scheduler for p in positions}
             recorder.count("tensor.buckets")
             recorder.event(
                 "tensor.bucket",
-                miners=key[0],
-                coins=key[1],
-                policy=key[2],
-                scheduler=key[3],
-                lane=key[-1],
+                miners=miners,
+                coins=coins,
+                policy=[kind for kind in VECTOR_POLICIES if kind in present_policies],
+                scheduler=[kind for kind in VECTOR_SCHEDULERS if kind in present_schedulers],
+                lane=lane,
                 jobs=len(positions),
             )
-        results = _run_bucket([jobs[p] for p in positions], lane=key[-1])
+        results = _run_bucket([jobs[p] for p in positions], lane=lane)
         for p, outcome in zip(positions, results):
             outcomes[p] = outcome
     return outcomes  # type: ignore[return-value]
@@ -305,19 +303,23 @@ def _run_scalar_job(job: TrajectoryJob) -> TrajectoryOutcome:
     return TrajectoryOutcome(trajectory.length, trajectory.converged, final)
 
 
-def _activation_priorities(jobs: Sequence, kind: str) -> np.ndarray:
-    """Per-game miner ranks replicating largest/smallest-first picks.
+def _activation_priorities(jobs: Sequence) -> np.ndarray:
+    """Per-row miner ranks replicating largest/smallest-first picks.
 
     ``max(unstable, key=(power, name))`` returns the *first* maximal
     element; a stable (reverse-)sort keeps equal keys in ascending miner
     order, so rank-argmin over the unstable set reproduces the scalar
-    pick, ties included.
+    pick, ties included. Each row ranks by its own job's scheduler;
+    rows of other schedulers are never read and stay zero.
     """
     n = jobs[0].kernel.n_miners
-    cache: Dict[int, np.ndarray] = {}
-    out = np.empty((len(jobs), n), dtype=np.int64)
+    cache: Dict[Tuple[int, str], np.ndarray] = {}
+    out = np.zeros((len(jobs), n), dtype=np.int64)
     for g, job in enumerate(jobs):
-        row = cache.get(id(job.kernel))
+        kind = job.scheduler
+        if kind not in ("largest", "smallest"):
+            continue
+        row = cache.get((id(job.kernel), kind))
         if row is None:
             miners = job.kernel.game.miners
             order = sorted(
@@ -328,17 +330,24 @@ def _activation_priorities(jobs: Sequence, kind: str) -> np.ndarray:
             row = np.empty(n, dtype=np.int64)
             for rank, i in enumerate(order):
                 row[i] = rank
-            cache[id(job.kernel)] = row
+            cache[(id(job.kernel), kind)] = row
         out[g] = row
     return out
 
 
 def _coin_name_ranks(jobs: Sequence) -> np.ndarray:
-    """Per-game coin ranks in name order (minimal-gain/max-rpu ties)."""
+    """Per-row coin tie ranks for the minimal-gain/max-rpu scan.
+
+    Coins rank in name order; max-rpu rows are negated, so "the smaller
+    rank wins a payoff tie" prefers the smaller name for minimal-gain and
+    the larger name for max-rpu — the scalar tie rules, one comparison.
+    """
     k = jobs[0].kernel.n_coins
     cache: Dict[int, np.ndarray] = {}
-    out = np.empty((len(jobs), k), dtype=np.int64)
+    out = np.zeros((len(jobs), k), dtype=np.int64)
     for g, job in enumerate(jobs):
+        if job.policy not in ("minimal", "max-rpu"):
+            continue
         row = cache.get(id(job.kernel))
         if row is None:
             names = job.kernel.coin_names
@@ -347,7 +356,7 @@ def _coin_name_ranks(jobs: Sequence) -> np.ndarray:
             for rank, j in enumerate(order):
                 row[j] = rank
             cache[id(job.kernel)] = row
-        out[g] = row
+        out[g] = -row if job.policy == "max-rpu" else row
     return out
 
 
@@ -420,12 +429,22 @@ def _improving_tensor(powers, rewards, assign, mass, allowed_m, exact, float_aux
     between the two verdicts — generically empty — is re-resolved with
     exact integer arithmetic.
     """
-    mass_cur = np.take_along_axis(mass, assign, axis=1)
-    r_cur = np.take_along_axis(rewards, assign, axis=1)
+    games = np.arange(assign.shape[0])[:, None]
+    mass_cur = mass[games, assign]
+    r_cur = rewards[games, assign]
     if exact:
-        lhs = mass_cur[:, :, None] * rewards[:, None, :]
-        rhs = r_cur[:, :, None] * (mass[:, None, :] + powers[:, :, None])
-        imp = lhs > rhs
+        # One (games, miners) comparison per coin, stored coin-major:
+        # numpy broadcasts over a short trailing coin axis slowly, and
+        # no (games, miners, coins) int64 temporaries are needed. The
+        # result is a (games, miners, coins) view of that buffer.
+        coin_major = np.empty((mass.shape[1],) + assign.shape, dtype=bool)
+        for j in range(mass.shape[1]):
+            np.greater(
+                mass_cur * rewards[:, j, None],
+                r_cur * (mass[:, j, None] + powers),
+                out=coin_major[j],
+            )
+        imp = coin_major.transpose(1, 2, 0)
     else:
         powers_f, rewards_f = float_aux
         q_lo = (mass_cur / r_cur) * (1.0 - _REL_TOL)
@@ -446,6 +465,18 @@ def _improving_tensor(powers, rewards, assign, mass, allowed_m, exact, float_aux
     if allowed_m is not None:
         imp &= allowed_m
     return imp
+
+
+def _any_coin(imp: np.ndarray) -> np.ndarray:
+    """``imp.any(axis=2)`` for a ``(games, miners, coins)`` boolean.
+
+    OR-ing the few coin columns is an order of magnitude faster than
+    numpy's reduction along a short last axis.
+    """
+    out = imp[:, :, 0].copy()
+    for j in range(1, imp.shape[2]):
+        out |= imp[:, :, j]
+    return out
 
 
 def _best_response_targets(rewards, mass, cur, p_sel, allow_sel, exact, rewards_f):
@@ -491,12 +522,48 @@ def _best_response_targets(rewards, mass, cur, p_sel, allow_sel, exact, rewards_
 
 
 def _extreme_gain_targets(rewards, mass, mrow, p_sel, rank, exact, maximize, rewards_f):
-    """Batched minimal-gain (``maximize=False``) / max-rpu target choice.
+    """Batched minimal-gain / max-rpu target choice, direction per row.
 
-    Scans improving coins ascending; keeps the smallest (largest)
-    post-move payoff, breaking exact payoff ties toward the smaller
-    (larger) coin name — the scalar tie rule, via precomputed name
-    ranks.
+    Picks, among each row's improving coins, the smallest (``maximize``
+    False: minimal-gain) or largest (True: max-rpu) post-move payoff.
+    A float64 screen over all coins at once settles every row whose
+    extreme is the only coin within ``_REL_TOL`` of it (float64 error is
+    ~1e-16, so that coin is the exact extreme); rows with near or exact
+    ties — generically none — go through :func:`_extreme_gain_scan`,
+    restricted to the tied coins.
+    """
+    den = (mass + p_sel[:, None]).astype(np.float64)
+    payoff = (rewards_f if rewards_f is not None else rewards) / den
+    key = np.where(maximize[:, None], -payoff, payoff)
+    key[~mrow] = np.inf
+    best = key.min(axis=1)
+    near = mrow & (key <= (best + np.abs(best) * _REL_TOL)[:, None])
+    target = key.argmin(axis=1)
+    counts = np.count_nonzero(near, axis=1)
+    target[counts == 0] = -1
+    tied = np.flatnonzero(counts > 1)
+    if tied.size:
+        target[tied] = _extreme_gain_scan(
+            rewards[tied],
+            mass[tied],
+            near[tied],
+            p_sel[tied],
+            rank[tied],
+            exact,
+            maximize[tied],
+            rewards_f[tied] if rewards_f is not None else None,
+        )
+    return target
+
+
+def _extreme_gain_scan(rewards, mass, mrow, p_sel, rank, exact, maximize, rewards_f):
+    """Exact minimal-gain / max-rpu choice by an ascending coin scan.
+
+    Scans improving coins ascending; keeps the smallest (``maximize``
+    False: minimal-gain) or largest (True: max-rpu) post-move payoff,
+    breaking exact payoff ties toward the smaller signed rank of
+    :func:`_coin_name_ranks` — the smaller coin name for minimal-gain,
+    the larger for max-rpu, as the scalar policies do.
     """
     g, k = mrow.shape
     have = np.zeros(g, dtype=bool)
@@ -529,10 +596,7 @@ def _extreme_gain_targets(rewards, mass, mrow, p_sel, rank, exact, maximize, rew
                 rhs_e = int(best_r[gi]) * int(den_j[gi])
                 gt[gi] = lhs_e > rhs_e
                 eq[gi] = lhs_e == rhs_e
-        if maximize:
-            better = gt | (eq & (rank[:, j] > best_rank))
-        else:
-            better = (~gt & ~eq) | (eq & (rank[:, j] < best_rank))
+        better = np.where(maximize, gt, ~gt & ~eq) | (eq & (rank[:, j] < best_rank))
         take = mj & (~have | better)
         best_r = np.where(take, rewards[:, j], best_r)
         best_den = np.where(take, den_j, best_den)
@@ -542,15 +606,63 @@ def _extreme_gain_targets(rewards, mass, mrow, p_sel, rank, exact, maximize, rew
     return target
 
 
+#: Strategy families: kinds in one family share one batched step per
+#: lockstep iteration — the scheduler families pick the activated miner,
+#: the policy families its target coin.
+_UNIFORM, _ROUND_ROBIN, _PRIORITY = 0, 1, 2
+_SCHEDULER_FAMILY = {
+    "uniform": _UNIFORM,
+    "round-robin": _ROUND_ROBIN,
+    "largest": _PRIORITY,
+    "smallest": _PRIORITY,
+}
+_FIRST, _RANDOM, _GREEDY, _EXTREME = 0, 1, 2, 3
+_POLICY_FAMILY = {
+    "first": _FIRST,
+    "random": _RANDOM,
+    "best": _GREEDY,
+    "epsilon": _GREEDY,
+    "minimal": _EXTREME,
+    "max-rpu": _EXTREME,
+}
+
+
+def _family_rows(families: np.ndarray) -> List[Tuple[int, object, List[int]]]:
+    """``(family, rows, row list)`` for every family among the live rows.
+
+    ``rows`` indexes the bucket's arrays: ``slice(None)`` when one family
+    holds every row (a single-strategy bucket gathers nothing), else an
+    index array. Families whose rows have all retired are absent.
+    """
+    present = np.flatnonzero(np.bincount(families))
+    if present.size == 1:
+        return [(int(present[0]), slice(None), list(range(families.size)))]
+    groups = []
+    for family in present.tolist():
+        rows = np.flatnonzero(families == family)
+        groups.append((family, rows, rows.tolist()))
+    return groups
+
+
 def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutcome]:
-    """Run one same-shape, same-strategy bucket in lockstep."""
+    """Run one same-shape bucket in lockstep, strategies coded per row.
+
+    Policy, scheduler and epsilon are per-row codes. Each iteration runs
+    the improvement scan once over every live row, then each strategy
+    family only on its own live rows: one uniform draw-and-select, one
+    round-robin cursor scan, and one priority argmin shared by
+    largest- and smallest-first (per-row priority rows) pick the
+    miners; first-improving, one random-improving draw, one greedy scan
+    shared by best response and epsilon-greedy, and one extreme-gain
+    scan shared by minimal-gain and max-rpu (per-row direction) pick
+    the targets. A family whose rows have all retired is skipped. Every
+    draw is made on the row's own generator, in the scalar stepper's
+    per-step order, so outcomes and RNG states match it exactly.
+    """
     recorder = get_recorder()
     total = len(jobs)
     n = jobs[0].kernel.n_miners
     k = jobs[0].kernel.n_coins
-    pol = jobs[0].policy
-    sch = jobs[0].scheduler
-    eps = jobs[0].epsilon
     exact = lane == "int"
 
     powers = np.array([job.kernel.powers for job in jobs], dtype=np.int64)
@@ -568,6 +680,12 @@ def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutc
     steps = np.zeros(total, dtype=np.int64)
     owner = np.arange(total)
 
+    sch_family = np.array([_SCHEDULER_FAMILY[job.scheduler] for job in jobs], dtype=np.int8)
+    pol_family = np.array([_POLICY_FAMILY[job.policy] for job in jobs], dtype=np.int8)
+    explores = np.array([job.policy == "epsilon" for job in jobs], dtype=bool)
+    epsilons = np.array([job.epsilon for job in jobs], dtype=np.float64)
+    maximize = np.array([job.policy == "max-rpu" for job in jobs], dtype=bool)
+
     allowed_m = None
     if any(job.allowed is not None for job in jobs):
         allowed_m = np.ones((total, n, k), dtype=bool)
@@ -578,9 +696,9 @@ def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutc
             for i, coins in enumerate(job.allowed):
                 allowed_m[g, i, list(coins)] = True
 
-    cursor = np.zeros(total, dtype=np.int64) if sch == "round-robin" else None
-    prio = _activation_priorities(jobs, sch) if sch in ("largest", "smallest") else None
-    rank = _coin_name_ranks(jobs) if pol in ("minimal", "max-rpu") else None
+    cursor = np.zeros(total, dtype=np.int64)
+    prio = _activation_priorities(jobs) if (sch_family == _PRIORITY).any() else None
+    rank = _coin_name_ranks(jobs) if (pol_family == _EXTREME).any() else None
     rewards_f = p32 = p_gap32 = rewards_f32 = disallowed = None
     scratch_a = scratch_f = ones_k = None
     if not exact:
@@ -599,14 +717,27 @@ def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutc
         scratch_a = np.empty((total, n, k), dtype=np.float32)
         scratch_f = np.empty((total, n, k), dtype=np.float32)
         ones_k = np.ones(k, dtype=np.float32)
-        if pol in ("best", "minimal", "max-rpu", "epsilon"):
+        if (pol_family >= _GREEDY).any():
             rewards_f = rewards.astype(np.float64)
 
+    def regroup():
+        """Live-row index sets; recomputed only when rows retire."""
+        explore_rows = np.flatnonzero(explores)
+        return (
+            np.arange(owner.size),
+            _family_rows(sch_family),
+            _family_rows(pol_family),
+            explore_rows,
+            list(zip(explore_rows.tolist(), epsilons[explore_rows].tolist())),
+        )
+
+    rows, sch_groups, pol_groups, explore_rows, explore_eps = regroup()
+    miner_offsets = np.arange(n)
     outcomes: List[Optional[TrajectoryOutcome]] = [None] * total
     while owner.size:
         if exact:
             imp = _improving_tensor(powers, rewards, assign, mass, allowed_m, True, None)
-            unstable = imp.any(axis=2)
+            unstable = _any_coin(imp)
         else:
             # Margin tensor A[g, i, j] = q_lo·R[j] - mass[j]: miner i
             # certainly improves at j when A > power_i, certainly does
@@ -618,7 +749,7 @@ def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutc
             A = scratch_a[:g0]
             F = scratch_f[:g0]
             mass32 = mass.astype(np.float32)
-            q_lo = np.take_along_axis((mass32 / rewards_f32) * _LO_F32, assign, axis=1)
+            q_lo = ((mass32 / rewards_f32) * _LO_F32)[rows[:, None], assign]
             np.multiply(q_lo[:, :, None], rewards_f32[:, None, :], out=A)
             A -= mass32[:, None, :]
             if disallowed is not None:
@@ -646,7 +777,7 @@ def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutc
         if done.any() or exhausted.any():
             for gi in np.flatnonzero(done):
                 outcomes[owner[gi]] = TrajectoryOutcome(
-                    int(steps[gi]), True, tuple(int(c) for c in assign[gi])
+                    int(steps[gi]), True, tuple(assign[gi].tolist())
                 )
             for gi in np.flatnonzero(exhausted):
                 if raise_flags[gi]:
@@ -655,7 +786,7 @@ def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutc
                         f"{int(budgets[gi])} steps"
                     )
                 outcomes[owner[gi]] = TrajectoryOutcome(
-                    int(steps[gi]), False, tuple(int(c) for c in assign[gi])
+                    int(steps[gi]), False, tuple(assign[gi].tolist())
                 )
             keep = ~(done | exhausted)
             if recorder.enabled:
@@ -668,10 +799,11 @@ def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutc
             steps, budgets, raise_flags = steps[keep], budgets[keep], raise_flags[keep]
             unstable, nu = unstable[keep], nu[keep]
             rngs = [rngs[i] for i in sel]
+            sch_family, pol_family = sch_family[keep], pol_family[keep]
+            explores, epsilons, maximize = explores[keep], epsilons[keep], maximize[keep]
+            cursor = cursor[keep]
             if allowed_m is not None:
                 allowed_m = allowed_m[keep]
-            if cursor is not None:
-                cursor = cursor[keep]
             if prio is not None:
                 prio = prio[keep]
             if rank is not None:
@@ -688,25 +820,31 @@ def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutc
                 # surviving game back to its scratch row for the policy
                 # phase's (g, k) row gather.
                 live = sel
+            rows, sch_groups, pol_groups, explore_rows, explore_eps = regroup()
 
         g = owner.size
-        rows = np.arange(g)
 
-        # Scheduler phase: one activated miner per game. Per-game draws
-        # happen on each job's own generator, in the same order and with
-        # the same bounds as the scalar scheduler.
-        if sch == "uniform":
-            draws = np.empty(g, dtype=np.int64)
-            for gi in range(g):
-                draws[gi] = rngs[gi].integers(0, int(nu[gi]))
-            miner = (np.cumsum(unstable, axis=1) > draws[:, None]).argmax(axis=1)
-        elif sch == "round-robin":
-            positions = (cursor[:, None] + np.arange(n)[None, :]) % n
-            offset = np.take_along_axis(unstable, positions, axis=1).argmax(axis=1)
-            miner = (cursor + offset) % n
-            cursor = (miner + 1) % n
-        else:
-            miner = np.where(unstable, prio, n).argmin(axis=1)
+        # Scheduler phase: one activated miner per game, each family on
+        # its own rows. Per-game draws happen on each job's own
+        # generator, with the same bounds as the scalar scheduler.
+        miner = np.empty(g, dtype=np.int64)
+        for family, sub, sub_list in sch_groups:
+            if family == _UNIFORM:
+                bounds = nu[sub].tolist()
+                draws = np.array(
+                    [rngs[gi].integers(0, c) for gi, c in zip(sub_list, bounds)],
+                    dtype=np.int64,
+                )
+                miner[sub] = (np.cumsum(unstable[sub], axis=1) > draws[:, None]).argmax(axis=1)
+            elif family == _ROUND_ROBIN:
+                start = cursor[sub]
+                positions = (start[:, None] + miner_offsets[None, :]) % n
+                offset = np.take_along_axis(unstable[sub], positions, axis=1).argmax(axis=1)
+                picked = (start + offset) % n
+                miner[sub] = picked
+                cursor[sub] = (picked + 1) % n
+            else:
+                miner[sub] = np.where(unstable[sub], prio[sub], n).argmin(axis=1)
 
         # Policy phase: one target coin per activated miner.
         cur = assign[rows, miner]
@@ -726,36 +864,50 @@ def _run_bucket(jobs: Sequence[TrajectoryJob], lane: str) -> List[TrajectoryOutc
                 mrow[gis] = _f64_margin_rows(
                     powers, rewards, assign, mass, allowed_m, gis, miner[gis]
                 )
-        if pol == "first":
-            target = mrow.argmax(axis=1)
-        elif pol == "random":
-            counts = np.count_nonzero(mrow, axis=1)
-            draws = np.empty(g, dtype=np.int64)
-            for gi in range(g):
-                draws[gi] = rngs[gi].integers(0, int(counts[gi]))
-            target = (np.cumsum(mrow, axis=1) > draws[:, None]).argmax(axis=1)
-        elif pol == "best":
-            target = _best_response_targets(
-                rewards, mass, cur, p_sel, allow_sel, exact, rewards_f
-            )
-        elif pol in ("minimal", "max-rpu"):
-            target = _extreme_gain_targets(
-                rewards, mass, mrow, p_sel, rank, exact, pol == "max-rpu", rewards_f
-            )
-        else:  # epsilon-greedy: uniform draw decides explore/exploit
-            greedy = _best_response_targets(
-                rewards, mass, cur, p_sel, allow_sel, exact, rewards_f
-            )
-            counts = np.count_nonzero(mrow, axis=1)
-            cum = np.cumsum(mrow, axis=1)
-            target = np.empty(g, dtype=np.int64)
-            for gi in range(g):
+        target = np.empty(g, dtype=np.int64)
+        for family, sub, sub_list in pol_groups:
+            if family == _FIRST:
+                target[sub] = mrow[sub].argmax(axis=1)
+            elif family == _RANDOM:
+                moves = mrow[sub]
+                bounds = np.count_nonzero(moves, axis=1).tolist()
+                draws = np.array(
+                    [rngs[gi].integers(0, c) for gi, c in zip(sub_list, bounds)],
+                    dtype=np.int64,
+                )
+                target[sub] = (np.cumsum(moves, axis=1) > draws[:, None]).argmax(axis=1)
+            elif family == _GREEDY:
+                target[sub] = _best_response_targets(
+                    rewards[sub],
+                    mass[sub],
+                    cur[sub],
+                    p_sel[sub],
+                    allow_sel[sub] if allow_sel is not None else None,
+                    exact,
+                    rewards_f[sub] if rewards_f is not None else None,
+                )
+            else:
+                target[sub] = _extreme_gain_targets(
+                    rewards[sub],
+                    mass[sub],
+                    mrow[sub],
+                    p_sel[sub],
+                    rank[sub],
+                    exact,
+                    maximize[sub],
+                    rewards_f[sub] if rewards_f is not None else None,
+                )
+        if explore_eps:
+            # Epsilon-greedy rows hold their greedy target; a uniform
+            # draw decides whether to explore a random improving move.
+            moves = mrow[explore_rows]
+            bounds = np.count_nonzero(moves, axis=1).tolist()
+            cum = np.cumsum(moves, axis=1)
+            for pos, (gi, eps) in enumerate(explore_eps):
                 gen = rngs[gi]
                 if gen.random() < eps:
-                    draw = int(gen.integers(0, int(counts[gi])))
-                    target[gi] = int((cum[gi] > draw).argmax())
-                else:
-                    target[gi] = greedy[gi]
+                    draw = int(gen.integers(0, bounds[pos]))
+                    target[gi] = int((cum[pos] > draw).argmax())
         if (target < 0).any():
             raise RuntimeError("batched policy found no target for an unstable miner")
 

@@ -24,7 +24,10 @@ What the built-in hook points count (all names are stable API):
                                lengths exactly, on every executor
 ``engine.converged``           runs that ended stable
 ``tensor.lane.<int|float|exact>``  arithmetic lane chosen per job
-``tensor.buckets``             lockstep buckets formed
+``tensor.buckets``             lockstep buckets formed, one per
+                               (miners, coins, lane); each bucket's
+                               ``tensor.bucket`` event lists the
+                               policy and scheduler kinds present
 ``tensor.compactions``         population compaction passes
 ``tensor.escalations.<f64|exact>`` float-screen escalations
 ``run_many.cells.<route>``     cells served per executor route

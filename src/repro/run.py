@@ -23,9 +23,9 @@ Executor modes
     The tensor population kernel (:mod:`repro.kernel.tensor`). All
     vectorizable trajectory cells across the *whole* cell list are
     packed into one population call, so same-shape cells share lockstep
-    array steps even across cells. Requires the ``"fast"`` backend and
-    standard policies/schedulers; noisy cells run the lockstep
-    population stepper. Identical results.
+    array steps even across cells and strategies. Requires the
+    ``"fast"`` backend and standard policies/schedulers; noisy cells
+    run the lockstep population stepper. Identical results.
 ``"auto"``
     Vectorizable trajectory cells go to the tensor kernel; everything
     else falls back to the pooled runners' own ``"auto"``.
@@ -40,7 +40,7 @@ Within a cell the per-run scheme is the library-wide convention (stream
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -313,14 +313,19 @@ def _run_cells_vectorized(
 
     Jobs from every cell are concatenated and handed to
     :func:`~repro.kernel.tensor.run_trajectory_population` together, so
-    cells with the same game shape and strategy land in the same
-    lockstep bucket — cross-cell batching no per-cell runner offers.
-    Each job still carries its own pre-spawned generator, so the
-    summaries are bit-identical to the per-cell serial loops.
-    ``stream=True`` cells fold their slice of outcomes into a
-    :class:`~repro.kernel.batch.CellStats` instead of summary lists.
+    cells whose games share a shape land in the same lockstep bucket
+    whatever their policies and schedulers — an E9-style policy ×
+    scheduler grid over one game is a single bucket. Each distinct
+    game's :class:`~repro.kernel.core.KernelGame` is built once and
+    shared by all its cells (so the tensor kernel's per-kernel caches
+    hit across them). Each job still carries its own pre-spawned
+    generator, so the summaries are bit-identical to the per-cell
+    serial loops. ``stream=True`` cells fold their slice of outcomes
+    into a :class:`~repro.kernel.batch.CellStats` instead of summary
+    lists.
     """
     from repro.kernel.batch import TrajectorySummary, build_vector_jobs, fold_outcomes
+    from repro.kernel.core import KernelGame
     from repro.kernel.tensor import run_trajectory_population
     from repro.learning.policies import RandomImprovingPolicy
     from repro.learning.schedulers import UniformRandomScheduler
@@ -328,9 +333,14 @@ def _run_cells_vectorized(
     all_jobs: List[Any] = []
     spans: List[Tuple[int, int]] = []
     kernels: List[Any] = []
+    # Keyed by identity: the cells keep every game alive for the call.
+    kernel_of: Dict[int, Any] = {}
     for cell, root in zip(cells, roots):
         streams = root.spawn(2 * cell.runs)
         seed_pairs = [(streams[2 * i], streams[2 * i + 1]) for i in range(cell.runs)]
+        kernel = kernel_of.get(id(cell.game))
+        if kernel is None:
+            kernel = kernel_of[id(cell.game)] = KernelGame(cell.game)
         jobs, kernel = build_vector_jobs(
             cell.game,
             policy=cell.policy,
@@ -339,6 +349,7 @@ def _run_cells_vectorized(
             allowed=cell.allowed,
             max_steps=cell.max_steps,
             backend=cell.backend,
+            kernel=kernel,
         )
         spans.append((len(all_jobs), len(all_jobs) + len(jobs)))
         kernels.append(kernel)

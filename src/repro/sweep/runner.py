@@ -95,6 +95,30 @@ def _root_sequence(seed: Any) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
+def _read_bytes(path: str) -> Optional[bytes]:
+    """The file's bytes, or None when it cannot be read."""
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except OSError:
+        return None
+
+
+def _publish(data: bytes, path: str, previous: Optional[bytes]) -> str:
+    """Atomically write *data* to *path* unless it already holds them.
+
+    A warm re-run produces the same receipt and report bytes; skipping
+    the rename keeps the file (inode, mtime) untouched and saves an
+    ``os.replace`` over an existing file, which some filesystems make
+    expensive.
+    """
+    from repro.io import write_bytes_atomic
+
+    if data != previous:
+        write_bytes_atomic(data, path)
+    return path
+
+
 def _write_grid_receipt(
     out: str,
     entries: Sequence[Dict[str, Any]],
@@ -105,14 +129,14 @@ def _write_grid_receipt(
 ) -> str:
     """Persist (atomically) what this grid is, for merge and resume checks."""
     from repro import __version__
-    from repro.io import write_json_atomic
+    from repro.io import encode_json
 
     path = os.path.join(out, "grid.json")
-    if os.path.exists(path):
+    raw = _read_bytes(path)
+    if raw is not None:
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                previous = json.load(handle)
-        except (OSError, ValueError):
+            previous = json.loads(raw)
+        except ValueError:
             previous = None
         if previous is not None and not force:
             if previous.get("root") != root_desc:
@@ -129,7 +153,15 @@ def _write_grid_receipt(
         "n_shards": n_shards,
         "cells": list(entries),
     }
-    return write_json_atomic(payload, path)
+    return _publish(encode_json(payload), path, raw)
+
+
+def _write_report(report: Dict[str, Any], out: str) -> str:
+    """Write ``<out>/report.json`` unless it already holds these bytes."""
+    from repro.io import encode_json
+
+    path = os.path.join(out, "report.json")
+    return _publish(encode_json(report, sort_keys=False), path, _read_bytes(path))
 
 
 class _ShardManifest:
@@ -332,11 +364,7 @@ def run_sweep(
         # This call owned the whole grid: merge now.
         result.report = build_report(entries, results)
         if out is not None:
-            from repro.io import write_json_atomic
-
-            result.report_path = write_json_atomic(
-                result.report, os.path.join(out, "report.json"), sort_keys=False
-            )
+            result.report_path = _write_report(result.report, out)
     return result
 
 
@@ -385,7 +413,5 @@ def merge_sweep(out: str, *, write: bool = True) -> Dict[str, Any]:
         )
     report = build_report(entries, results)
     if write:
-        from repro.io import write_json_atomic
-
-        write_json_atomic(report, os.path.join(out, "report.json"), sort_keys=False)
+        _write_report(report, out)
     return report

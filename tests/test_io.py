@@ -204,6 +204,42 @@ class TestAtomicWrites:
             assert __import__("json").load(handle) == {"v": 1}
         assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]
 
+    def test_bytes_match_the_json_dump_path(self, tmp_path):
+        """One ``json.dumps`` write equals the streamed ``json.dump`` bytes.
+
+        Checked on the two documents the sweep fabric writes most: a
+        cache entry (compact, sorted keys) and an indented report
+        (insertion order).
+        """
+        import io
+        import json
+
+        from repro.io import write_json_atomic
+        from repro.learning.policies import BestResponsePolicy, MaxRpuPolicy
+        from repro.sweep import SweepGrid, run_sweep
+        from repro.sweep.cache import cell_result_to_records
+
+        grid = SweepGrid(
+            {"policy": [BestResponsePolicy(), MaxRpuPolicy()]},
+            base={"game": random_game(6, 3, seed=4), "runs": 4, "stream": True},
+        )
+        sweep = run_sweep(grid, seed=9)
+        stream, records = cell_result_to_records(sweep.in_order()[0])
+        entry = {
+            "format": "game-of-coins/sweep-cache-entry",
+            "key": "ab" * 32,
+            "cell_id": "policy=best-response",
+            "stream": stream,
+            "results": records,
+        }
+        for payload, indent, sort_keys in ((entry, None, True), (sweep.report, 2, False)):
+            path = tmp_path / "doc.json"
+            write_json_atomic(payload, str(path), indent=indent, sort_keys=sort_keys)
+            reference = io.StringIO()
+            json.dump(payload, reference, indent=indent, sort_keys=sort_keys)
+            reference.write("\n")
+            assert path.read_bytes() == reference.getvalue().encode("utf-8")
+
     def test_save_helpers_route_through_atomic_writes(self, tmp_path, monkeypatch):
         import repro.io as io_module
 

@@ -314,6 +314,57 @@ class TestRunSweep:
         assert second.report == first.report
 
 
+class TestArtifactRewrites:
+    """Warm re-runs leave ``grid.json`` and ``report.json`` untouched."""
+
+    @staticmethod
+    def _snapshot(out):
+        snap = {}
+        for name in ("grid.json", "report.json"):
+            path = os.path.join(out, name)
+            info = os.stat(path)
+            with open(path, "rb") as handle:
+                snap[name] = (info.st_ino, info.st_mtime_ns, handle.read())
+        return snap
+
+    def test_warm_rerun_keeps_inode_mtime_and_bytes(self, tmp_path):
+        out = str(tmp_path / "sweep")
+        run_sweep(_small_grid(seed=3), out=out, seed=0)
+        before = self._snapshot(out)
+        warm = run_sweep(_small_grid(seed=3), out=out, seed=0)
+        assert warm.cache_hits == 4
+        assert self._snapshot(out) == before
+        merge_sweep(out)
+        assert self._snapshot(out) == before
+
+    def _assert_rewritten_like_fresh(self, tmp_path, out, before, grid, seed, **kwargs):
+        run_sweep(grid(), out=out, seed=seed, **kwargs)
+        after = self._snapshot(out)
+        fresh = str(tmp_path / "fresh")
+        run_sweep(grid(), out=fresh, seed=seed)
+        expected = self._snapshot(fresh)
+        for name in ("grid.json", "report.json"):
+            assert after[name][2] != before[name][2], name
+            assert after[name][0] != before[name][0], name  # a new file was renamed in
+            assert after[name][2] == expected[name][2], name
+
+    def test_changed_grid_rewrites(self, tmp_path):
+        out = str(tmp_path / "sweep")
+        run_sweep(_small_grid(seed=3), out=out, seed=0)
+        before = self._snapshot(out)
+        self._assert_rewritten_like_fresh(
+            tmp_path, out, before, lambda: _small_grid(seed=3, runs=4), 0
+        )
+
+    def test_forced_new_root_rewrites(self, tmp_path):
+        out = str(tmp_path / "sweep")
+        run_sweep(_small_grid(), out=out, seed=0)
+        before = self._snapshot(out)
+        self._assert_rewritten_like_fresh(
+            tmp_path, out, before, _small_grid, 1, force=True
+        )
+
+
 class TestReport:
     def test_report_shape_and_determinism(self, tmp_path):
         result = run_sweep(_small_grid(seed=3), out=str(tmp_path / "s"), seed=0)
